@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline test-replay test-cluster test-serve test-failover test-runs test-obs ci
+.PHONY: build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline bench-e2e test-replay test-cluster test-serve test-failover test-runs test-obs ci
 
 build:
 	$(GO) build ./...
@@ -130,14 +130,15 @@ test-serve:
 		. ./internal/catalog ./internal/server ./internal/sirendb
 
 # Telemetry suite under the race detector (DESIGN.md §13): the obs core
-# (lock-free records racing scrapes and registration), the Prometheus
+# (lock-free records racing scrapes and registration, and registrations
+# racing a scrape loop), the Prometheus
 # exposition golden and grammar tests, the per-tier instrument tests
 # (receiver stages, server percentiles and shape-compat pins, membership
 # probe/retry), and the live-campaign /metrics scrape of a real
 # siren-receiver process with -pprof.
 test-obs:
 	$(GO) test -race -count=1 \
-		-run 'Histogram|Counter|Gauge|Registry|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|NilSafety|BucketBounds' \
+		-run 'Histogram|Counter|Gauge|Registry|RegisterScrape|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|NilSafety|BucketBounds' \
 		. ./internal/obs ./internal/receiver ./internal/server ./internal/membership
 
 # Serving-tier benchmarks (EXPERIMENTS.md §6): identify throughput through
@@ -177,6 +178,17 @@ bench-gate: bench-gate-run
 
 bench-rebaseline: bench-gate-run
 	$(GO) run ./cmd/benchdiff -write -out $(BENCH_BASELINE) $(BENCH_GATE_OUT)
+
+# End-to-end benchmark (EXPERIMENTS.md §4): the four e2ebench workloads,
+# one after another, each a 15 s timed pass at seed 1 with tracing off.
+# Builds from this checkout into .bench_build/. Slow (about two minutes) and
+# host-sensitive, so ci does not run it; compare numbers only against runs on
+# the same host.
+E2E_WORKLOADS ?= live query restart collect
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		bash e2ebench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 || exit 1; \
+	done
 
 # Everything the three CI jobs run (test, e2e, bench), serially.
 ci: build vet fmt-check staticcheck sirenlint test-race test-runs test-cluster test-failover test-serve test-obs fuzz-smoke bench-smoke

@@ -168,8 +168,10 @@ func (c *Catalog) LastRefresh() (RefreshStats, bool) {
 }
 
 // Refresh captures a fresh snapshot and publishes a generation reflecting
-// it. Cost is proportional to the rows gained since the previous generation
-// — jobs without new rows are spliced forward, not re-read. Concurrent
+// it. Only the jobs with rows gained since the previous generation are
+// re-read and re-consolidated; the other jobs' records are spliced forward,
+// and assembling the generation is one linear merge of the two, with only
+// the re-consolidated records sorted. Concurrent
 // Refresh calls serialise; queries are never blocked. Returns the stats of
 // the pass (NoOp set when the store had no new rows and the previous
 // generation was kept).
@@ -221,6 +223,7 @@ func (c *Catalog) Refresh() RefreshStats {
 	rs.Reconsolidated = len(changed)
 
 	// Re-consolidate only the changed jobs, streaming and shard-parallel.
+	var fresh []*postprocess.ProcessRecord
 	postprocess.ConsolidateStream(snap, postprocess.StreamOptions{
 		Workers: c.opts.Workers,
 		JobFilter: func(job string) bool {
@@ -229,22 +232,26 @@ func (c *Catalog) Refresh() RefreshStats {
 		},
 	}, func(j postprocess.JobRecords) bool {
 		jobs[j.JobID] = jobEntry{records: j.Records, messages: j.Messages, logical: j.Reassembled}
+		fresh = append(fresh, j.Records...)
 		return true
 	})
 
 	// Assemble the new generation: records in the deterministic whole-store
-	// order, stats accumulated over carried and fresh jobs alike.
+	// order, stats accumulated over carried and fresh jobs alike. Only the
+	// fresh records are sorted; the carried ones are already in order in
+	// the previous generation and merge in one linear pass.
 	var stats postprocess.Stats
 	total := 0
 	for _, e := range jobs {
 		total += len(e.records)
-	}
-	records := make([]*postprocess.ProcessRecord, 0, total)
-	for _, e := range jobs {
 		stats.AddJob(e.records, e.messages, e.logical)
-		records = append(records, e.records...)
 	}
-	postprocess.SortRecords(records)
+	postprocess.SortRecords(fresh)
+	var carried []*postprocess.ProcessRecord
+	if since > 0 {
+		carried = prev.Dataset.Records
+	}
+	records := mergeRecords(carried, fresh, changedSet, total)
 
 	gen := &Generation{
 		Gen:     prev.Gen + 1,
@@ -268,6 +275,26 @@ func (c *Catalog) Refresh() RefreshStats {
 	rs.Elapsed = time.Since(start)
 	c.finish(rs)
 	return rs
+}
+
+// mergeRecords merges prev (in SortRecords order), minus the records of the
+// changed jobs, with fresh (sorted the same way) into one ordered slice of
+// capacity total. A carried and a fresh record never tie: their jobs
+// differ, and JobID is part of the order.
+func mergeRecords(prev, fresh []*postprocess.ProcessRecord, changed map[string]struct{}, total int) []*postprocess.ProcessRecord {
+	out := make([]*postprocess.ProcessRecord, 0, total)
+	i := 0
+	for _, r := range prev {
+		if _, ok := changed[r.JobID]; ok {
+			continue
+		}
+		for i < len(fresh) && postprocess.CompareRecords(fresh[i], r) < 0 {
+			out = append(out, fresh[i])
+			i++
+		}
+		out = append(out, r)
+	}
+	return append(out, fresh[i:]...)
 }
 
 func (c *Catalog) finish(rs RefreshStats) {

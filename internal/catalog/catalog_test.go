@@ -334,3 +334,48 @@ func TestConcurrentQueriesDuringRefresh(t *testing.T) {
 		t.Errorf("final generation diverges from full consolidation")
 	}
 }
+
+// TestIncrementalRefreshMergesTies: processes that agree on (Time, JobID,
+// PID, ExeHash) and differ only in host or step must land in the same
+// order whether a generation merged carried records with fresh ones or
+// sorted everything in one pass.
+func TestIncrementalRefreshMergesTies(t *testing.T) {
+	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	insert := func(job string, wave int) {
+		for h := 0; h < 10; h++ {
+			host := fmt.Sprintf("nid%04d", (h*7)%10)
+			for _, step := range []string{"2", "0", "1"} {
+				tm := 1733900000 + int64(2-h%3) // insertion order is not time order
+				msgs := procMessages(t, job, host, 42, tm, "/appl/gromacs/bin/gmx", "gromacs", wave)
+				for i := range msgs {
+					msgs[i].StepID = step
+				}
+				if err := db.InsertBatch(msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	order := func(recs []*postprocess.ProcessRecord) []string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, fmt.Sprintf("%d/%s/%d/%s/%s/%s", r.Time, r.JobID, r.PID, r.ExeHash, r.StepID, r.Host))
+		}
+		return out
+	}
+
+	cat := catalog.New(catalog.StoreSource(db), catalog.Options{})
+	for wave := 0; wave < 4; wave++ {
+		insert(fmt.Sprintf("job-%d", wave%3), wave) // waves 3 revisits job-0
+		cat.Refresh()
+		got := order(cat.Generation().Dataset.Records)
+		full, _ := postprocess.ConsolidateSnapshot(db.Snapshot(), postprocess.StreamOptions{})
+		if want := order(full); !reflect.DeepEqual(got, want) {
+			t.Fatalf("wave %d: incremental order\n%q\nfull order\n%q", wave, got, want)
+		}
+	}
+}

@@ -113,12 +113,15 @@ func labelSig(labels []Label) string {
 	return sig
 }
 
-// register finds or creates the (name, labels) entry of the given kind.
-// Registering the same name+labels twice returns the existing entry, so
-// independent components can share one instrument; re-registering a name
-// with a different kind or a malformed name panics — both are programmer
-// errors, caught at construction time, never on the record path.
-func (r *Registry) register(name, help string, k kind, labels []Label) *entry {
+// register finds or creates the (name, labels) entry of the given kind and
+// returns its instrument, built under r.mu so two concurrent first
+// registrations share one instrument. gfunc non-nil registers a function
+// instrument (CounterFunc, GaugeFunc); the first function registered for an
+// entry wins. Registering the same name+labels twice returns the existing
+// entry, so independent components can share one instrument; re-registering
+// a name with a different kind or a malformed name panics — both are
+// programmer errors, caught at construction time, never on the record path.
+func (r *Registry) register(name, help string, k kind, labels []Label, gfunc func() int64) entry {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: registry %q: invalid metric name %q", r.name, name))
 	}
@@ -138,23 +141,51 @@ func (r *Registry) register(name, help string, k kind, labels []Label) *entry {
 		panic(fmt.Sprintf("obs: registry %q: metric %q registered as %s, re-registered as %s", r.name, name, f.kind, k))
 	}
 	sig := labelSig(labels)
-	for _, e := range f.entries {
-		if e.sig == sig {
-			return e
+	var e *entry
+	for _, fe := range f.entries {
+		if fe.sig == sig {
+			e = fe
+			break
 		}
 	}
-	e := &entry{labels: append([]Label(nil), labels...), sig: sig}
-	f.entries = append(f.entries, e)
-	return e
+	if e == nil {
+		e = &entry{labels: append([]Label(nil), labels...), sig: sig}
+		f.entries = append(f.entries, e)
+	}
+	switch {
+	case gfunc != nil:
+		if e.gfunc == nil {
+			e.gfunc = gfunc
+		}
+	case k == kindCounter && e.counter == nil:
+		e.counter = &Counter{}
+	case k == kindGauge && e.gauge == nil:
+		e.gauge = &Gauge{}
+	case k == kindHistogram && e.hist == nil:
+		e.hist = &Histogram{}
+	}
+	return *e
+}
+
+// famView is a family as exposition sees it: the entries copied under r.mu,
+// so a scrape never reads a slice or an entry a registration is writing.
+type famView struct {
+	name, help string
+	kind       kind
+	entries    []entry
 }
 
 // sortedFamilies snapshots the families in name order for deterministic
 // exposition.
-func (r *Registry) sortedFamilies() []*family {
+func (r *Registry) sortedFamilies() []famView {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
+	fams := make([]famView, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		v := famView{name: f.name, help: f.help, kind: f.kind, entries: make([]entry, len(f.entries))}
+		for i, e := range f.entries {
+			v.entries[i] = *e
+		}
+		fams = append(fams, v)
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
@@ -171,11 +202,7 @@ type Counter struct {
 
 // Counter finds or creates the counter (name, labels).
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	e := r.register(name, help, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.register(name, help, kindCounter, labels, nil).counter
 }
 
 // Inc adds 1.
@@ -208,11 +235,7 @@ type Gauge struct {
 
 // Gauge finds or creates the gauge (name, labels).
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	e := r.register(name, help, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.register(name, help, kindGauge, labels, nil).gauge
 }
 
 // Set stores v.
@@ -245,10 +268,7 @@ func (g *Gauge) Value() int64 {
 // single existing increment and the registry reads it only when scraped.
 // f must be monotone non-decreasing and safe to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Label) {
-	e := r.register(name, help, kindCounter, labels)
-	if e.gfunc == nil {
-		e.gfunc = f
-	}
+	r.register(name, help, kindCounter, labels, f)
 }
 
 // GaugeFunc registers a gauge whose value is computed by f at exposition
@@ -257,10 +277,7 @@ func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Labe
 // costs nothing until somebody scrapes). f must be safe to call from any
 // goroutine.
 func (r *Registry) GaugeFunc(name, help string, f func() int64, labels ...Label) {
-	e := r.register(name, help, kindGauge, labels)
-	if e.gfunc == nil {
-		e.gfunc = f
-	}
+	r.register(name, help, kindGauge, labels, f)
 }
 
 // ---- Histogram ----
@@ -286,11 +303,7 @@ type Histogram struct {
 
 // Histogram finds or creates the histogram (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	e := r.register(name, help, kindHistogram, labels)
-	if e.hist == nil {
-		e.hist = &Histogram{}
-	}
-	return e.hist
+	return r.register(name, help, kindHistogram, labels, nil).hist
 }
 
 // Record adds one sample. Negative samples clamp to 0 (they can only come

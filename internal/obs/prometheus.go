@@ -35,7 +35,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case e.gfunc != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(e.labels, "", 0), e.gfunc())
 			case e.hist != nil:
-				writeHistogram(bw, f.name, e)
+				writeHistogram(bw, f.name, &e)
 			}
 		}
 	}

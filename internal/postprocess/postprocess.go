@@ -6,7 +6,8 @@
 package postprocess
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -116,7 +117,7 @@ func (s *Stats) AddJob(records []*ProcessRecord, messages, logical int) {
 }
 
 // Consolidate snapshots db and produces one ProcessRecord per process
-// instance, sorted by (Time, JobID, PID, ExeHash) for determinism.
+// instance, sorted by SortRecords for determinism.
 //
 // Internally this rides the streaming, shard-parallel read path
 // (ConsolidateSnapshot): the store is never materialised as one
@@ -158,51 +159,102 @@ func ConsolidateMessages(msgs []wire.Message) ([]*ProcessRecord, Stats) {
 //
 // Records are returned in identity-group first-appearance order, with the
 // derived Python imports already extracted.
+//
+// consolidateChunk runs a one-off kernel; workers that consolidate job
+// after job keep their own (see kernel).
 func consolidateChunk(msgs []wire.Message) (out []*ProcessRecord, nRecords int) {
-	records := wire.Reassemble(msgs)
+	var k kernel
+	return k.consolidate(msgs)
+}
+
+// kernel is consolidateChunk with reusable scratch: the reassembly buffers
+// and the grouping slices, grown to the largest job seen and reused for
+// every later one. This is the code every catalog refresh and restart runs
+// once per stored row, so it allocates per job rather than per row wherever
+// it can: the grouping keys are comparable structs (no string joins), the
+// groups are windows of one index slice, the seen-types set is one slice
+// reused across processes, and each record's content is copied exactly
+// once, into the string its fields are cut from. Not safe for concurrent
+// use.
+type kernel struct {
+	ra                       wire.Reassembler
+	group, sizes, pos, order []int32
+	seen                     []layerType // (Layer, Type) pairs of the process being built
+}
+
+func (k *kernel) consolidate(msgs []wire.Message) (out []*ProcessRecord, nRecords int) {
+	records := k.ra.Reassemble(msgs)
 	nRecords = len(records)
 
-	identity := func(h wire.Header) string {
-		return strings.Join([]string{h.JobID, h.StepID, strconv.Itoa(h.PID), h.Hash, h.Host}, "\x1f")
-	}
-	groups := make(map[string][]wire.Record)
-	var order []string
-	for _, rec := range records {
-		k := identity(rec.Header)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	// Number the identity groups in first-appearance order, then lay the
+	// record indexes out group by group (a counting sort, stable within a
+	// group), so every group is a window of one shared slice.
+	group := resize(k.group, len(records))
+	index := make(map[identityKey]int32)
+	sizes := k.sizes[:0]
+	last, lastKey := int32(-1), identityKey{}
+	for i := range records {
+		h := &records[i].Header
+		key := identityKey{h.JobID, h.StepID, h.PID, h.Hash, h.Host}
+		if last < 0 || key != lastKey {
+			g, ok := index[key]
+			if !ok {
+				g = int32(len(sizes))
+				index[key] = g
+				sizes = append(sizes, 0)
+			}
+			last, lastKey = g, key
 		}
-		groups[k] = append(groups[k], rec)
+		group[i] = last
+		sizes[last]++
 	}
+	// pos[g] starts at group g's end; filling backwards walks it down to the
+	// group's start.
+	pos, order := resize(k.pos, len(sizes)), resize(k.order, len(records))
+	end := int32(0)
+	for g, n := range sizes {
+		end += n
+		pos[g] = end
+	}
+	for i := len(group) - 1; i >= 0; i-- {
+		g := group[i]
+		pos[g]--
+		order[pos[g]] = int32(i)
+	}
+	byTime := func(a, b int32) int { return cmp.Compare(records[a].Header.Time, records[b].Header.Time) }
 
-	for _, k := range order {
-		recs := groups[k]
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Header.Time < recs[j].Header.Time })
+	seen := k.seen[:0]
+	for g, n := range sizes {
+		recs := order[pos[g] : pos[g]+n]
+		if !slices.IsSortedFunc(recs, byTime) {
+			slices.SortStableFunc(recs, byTime)
+		}
 		var p *ProcessRecord
-		seen := make(map[string]bool)
-		for _, rec := range recs {
-			tk := rec.Header.Layer + ":" + rec.Header.Type
-			if p == nil || seen[tk] {
-				h := rec.Header
+		for _, ri := range recs {
+			rec := &records[ri]
+			h := &rec.Header
+			lt := layerType{h.Layer, h.Type}
+			if p == nil || slices.ContainsFunc(seen, lt.sameTag) {
 				p = &ProcessRecord{
 					JobID: h.JobID, StepID: h.StepID, PID: h.PID,
 					ExeHash: h.Hash, Host: h.Host, Time: h.Time,
 				}
 				out = append(out, p)
-				seen = make(map[string]bool)
+				seen = seen[:0]
 			}
-			seen[tk] = true
+			seen = append(seen, lt)
 			if !rec.Complete {
-				p.MissingFields = append(p.MissingFields, tk)
+				p.MissingFields = append(p.MissingFields, h.Layer+":"+h.Type)
 			}
 			content := string(rec.Content)
-			if rec.Header.Layer == wire.LayerScript {
-				applyScript(p, rec.Header.Type, content)
+			if h.Layer == wire.LayerScript {
+				applyScript(p, h.Type, content)
 				continue
 			}
-			applySelf(p, rec.Header.Type, content)
+			applySelf(p, h.Type, content)
 		}
 	}
+	k.group, k.sizes, k.pos, k.order, k.seen = group, sizes, pos, order, seen
 
 	// Derived: Python imports from interpreter memory maps.
 	for _, p := range out {
@@ -213,25 +265,70 @@ func consolidateChunk(msgs []wire.Message) (out []*ProcessRecord, nRecords int) 
 	return out, nRecords
 }
 
-// SortRecords orders records by (Time, JobID, PID, ExeHash) — the
-// deterministic output order of every consolidation entry point. Exported
-// so incremental consumers (the serving catalog) that splice per-job record
-// sets across refresh passes can restore exactly the order a fresh
-// whole-store consolidation would produce.
+// identityKey is a process's identity columns without TIME — the grouping
+// key of consolidateChunk.
+type identityKey struct {
+	jobID, stepID string
+	pid           int
+	hash, host    string
+}
+
+// resize returns s with length n, reusing its backing array when it is big
+// enough; the contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// layerType is one (Layer, Type) pair; a repeat within one identity group
+// starts a new process instance.
+type layerType struct{ layer, typ string }
+
+// sameTag reports whether two pairs render the same "Layer:Type" tag (the
+// form MissingFields records), which differs from pair equality only when a
+// value contains ':'. The concatenations are short and do not escape, so
+// they build on the stack.
+func (a layerType) sameTag(b layerType) bool {
+	if a.layer == b.layer {
+		return a.typ == b.typ
+	}
+	return len(a.layer)+len(a.typ) == len(b.layer)+len(b.typ) &&
+		a.layer+":"+a.typ == b.layer+":"+b.typ
+}
+
+// SortRecords orders records by CompareRecords — the deterministic output
+// order of every consolidation entry point. Exported so incremental
+// consumers (the serving catalog) that splice per-job record sets across
+// refresh passes can restore exactly the order a fresh whole-store
+// consolidation would produce. The sort is stable: records that tie on the
+// whole key are one job's PID reuse within a second, and they keep their
+// consolidation order whichever records surround them.
 func SortRecords(out []*ProcessRecord) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.JobID != b.JobID {
-			return a.JobID < b.JobID
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		return a.ExeHash < b.ExeHash
-	})
+	slices.SortStableFunc(out, CompareRecords)
+}
+
+// CompareRecords orders records by (Time, JobID, PID, ExeHash, StepID,
+// Host): the sort key of SortRecords, and the merge order of a consumer
+// merging already-sorted record sets.
+func CompareRecords(a, b *ProcessRecord) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.JobID, b.JobID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.PID, b.PID); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.ExeHash, b.ExeHash); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.StepID, b.StepID); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Host, b.Host)
 }
 
 // countRecordStats fills the process- and job-level counters from the final
@@ -254,20 +351,20 @@ func countRecordStats(stats *Stats, out []*ProcessRecord) {
 func applySelf(p *ProcessRecord, typ, content string) {
 	switch typ {
 	case wire.TypeMetadata:
-		kv := parseKV(content)
-		p.Exe = kv["EXE"]
-		p.Category = kv["CATEGORY"]
-		p.PPID = atoi(kv["PPID"])
-		p.UID = uint32(atoi(kv["UID"]))
-		p.GID = uint32(atoi(kv["GID"]))
-		p.Inode = uint64(atoi(kv["INODE"]))
-		p.Size = int64(atoi(kv["SIZE"]))
-		p.Mode = uint32(atoiBase(kv["MODE"], 8))
-		p.OwnerUID = uint32(atoi(kv["OWNER_UID"]))
-		p.OwnerGID = uint32(atoi(kv["OWNER_GID"]))
-		p.Atime = int64(atoi(kv["ATIME"]))
-		p.Mtime = int64(atoi(kv["MTIME"]))
-		p.Ctime = int64(atoi(kv["CTIME"]))
+		md := decodeMetadata(content)
+		p.Exe = md.exe
+		p.Category = md.category
+		p.PPID = md.ppid
+		p.UID = uint32(md.uid)
+		p.GID = uint32(md.gid)
+		p.Inode = uint64(md.inode)
+		p.Size = int64(md.size)
+		p.Mode = uint32(md.mode)
+		p.OwnerUID = uint32(md.ownerUID)
+		p.OwnerGID = uint32(md.ownerGID)
+		p.Atime = int64(md.atime)
+		p.Mtime = int64(md.mtime)
+		p.Ctime = int64(md.ctime)
 	case wire.TypeObjects:
 		p.Objects = splitLines(content)
 	case wire.TypeModules:
@@ -301,35 +398,93 @@ func applyScript(p *ProcessRecord, typ, content string) {
 	}
 	switch typ {
 	case wire.TypeMetadata:
-		kv := parseKV(content)
-		p.Script.Path = kv["EXE"]
-		p.Script.Size = int64(atoi(kv["SIZE"]))
-		p.Script.Mtime = int64(atoi(kv["MTIME"]))
-		p.Script.Inode = uint64(atoi(kv["INODE"]))
+		md := decodeMetadata(content)
+		p.Script.Path = md.exe
+		p.Script.Size = int64(md.size)
+		p.Script.Mtime = int64(md.mtime)
+		p.Script.Inode = uint64(md.inode)
 	case wire.TypeFileH:
 		p.Script.FileH = content
 	}
 }
 
-func parseKV(content string) map[string]string {
-	out := make(map[string]string)
-	for _, line := range strings.Split(content, "\n") {
-		if i := strings.IndexByte(line, '='); i > 0 {
-			out[line[:i]] = line[i+1:]
-		}
-	}
-	return out
+// metadata is a decoded METADATA payload. Numeric fields hold what atoi
+// (octal for MODE) makes of the value; an absent key decodes as zero.
+type metadata struct {
+	exe, category string
+
+	ppid, uid, gid, inode, size, ownerUID, ownerGID, atime, mtime, ctime int
+	mode                                                                 uint64
 }
 
-func splitLines(content string) []string {
-	if content == "" {
-		return nil
-	}
-	var out []string
-	for _, line := range strings.Split(content, "\n") {
-		if line != "" {
-			out = append(out, line)
+// decodeMetadata reads METADATA's KEY=value lines in one pass, straight
+// into the fields: the last of a repeated key wins, and lines without '='
+// (or with an empty key) and unknown keys are ignored. The string fields
+// are substrings of content.
+func decodeMetadata(content string) metadata {
+	var md metadata
+	for rest := content; ; {
+		line := rest
+		nl := strings.IndexByte(rest, '\n')
+		if nl >= 0 {
+			line, rest = rest[:nl], rest[nl+1:]
 		}
+		if i := strings.IndexByte(line, '='); i > 0 {
+			v := line[i+1:]
+			switch line[:i] {
+			case "EXE":
+				md.exe = v
+			case "CATEGORY":
+				md.category = v
+			case "PPID":
+				md.ppid = atoi(v)
+			case "UID":
+				md.uid = atoi(v)
+			case "GID":
+				md.gid = atoi(v)
+			case "INODE":
+				md.inode = atoi(v)
+			case "SIZE":
+				md.size = atoi(v)
+			case "MODE":
+				md.mode = atoiBase(v, 8)
+			case "OWNER_UID":
+				md.ownerUID = atoi(v)
+			case "OWNER_GID":
+				md.ownerGID = atoi(v)
+			case "ATIME":
+				md.atime = atoi(v)
+			case "MTIME":
+				md.mtime = atoi(v)
+			case "CTIME":
+				md.ctime = atoi(v)
+			}
+		}
+		if nl < 0 {
+			return md
+		}
+	}
+}
+
+// splitLines returns content's non-empty lines (nil when there are none),
+// each a substring of content, in one allocation sized by a newline count.
+func splitLines(content string) []string {
+	n := strings.Count(content, "\n") + 1
+	var out []string
+	for rest := content; rest != ""; {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if line == "" {
+			continue
+		}
+		if out == nil {
+			out = make([]string, 0, n)
+		}
+		out = append(out, line)
 	}
 	return out
 }

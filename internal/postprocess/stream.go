@@ -26,7 +26,6 @@ package postprocess
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -151,6 +150,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		go func() {
 			defer wg.Done()
 			var buf []wire.Message // reused across jobs: amortised to the largest job segment
+			var k kernel           // likewise the consolidation scratch
 			for {
 				sh := int(nextShard.Add(1)) - 1
 				if sh >= snap.Shards() {
@@ -169,7 +169,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 						buf = append(buf, m)
 						return true
 					})
-					recs, nRecords := consolidateChunk(buf)
+					recs, nRecords := k.consolidate(buf)
 					select {
 					case segCh <- jobSegment{job: job, firstSeq: firstSeq, recs: recs, records: nRecords, messages: len(buf)}:
 					case <-done:
@@ -255,10 +255,10 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 // shards, and identity includes the host). Duplicates within one segment
 // are legitimate PID reuse and don't count.
 func identityCollision(segs []jobSegment) bool {
-	seen := make(map[string]int) // identity → index of the segment that saw it
+	seen := make(map[identityKey]int) // identity → index of the segment that saw it
 	for si := range segs {
 		for _, r := range segs[si].recs {
-			k := r.StepID + "\x1f" + strconv.Itoa(r.PID) + "\x1f" + r.ExeHash + "\x1f" + r.Host
+			k := identityKey{r.JobID, r.StepID, r.PID, r.ExeHash, r.Host}
 			if prev, ok := seen[k]; ok && prev != si {
 				return true
 			}
@@ -269,9 +269,9 @@ func identityCollision(segs []jobSegment) bool {
 }
 
 // ConsolidateSnapshot consolidates a snapshot via the streaming
-// shard-parallel path and returns every record sorted by (Time, JobID, PID,
-// ExeHash) — the same contract as Consolidate, with peak memory bounded by
-// the in-flight jobs plus the output instead of the whole store.
+// shard-parallel path and returns every record in SortRecords order — the
+// same contract as Consolidate, with peak memory bounded by the in-flight
+// jobs plus the output instead of the whole store.
 func ConsolidateSnapshot(snap SnapshotView, opts StreamOptions) ([]*ProcessRecord, Stats) {
 	var out []*ProcessRecord
 	stats := ConsolidateStream(snap, opts, func(j JobRecords) bool {

@@ -553,9 +553,11 @@ func (r *Run) EachJob(f func(job string, rows int, minSeq, maxSeq uint64) bool) 
 
 // Cursor streams a run's rows in ascending sequence order, k-way merging
 // the per-(job, host) extent streams. Blocks decode (and checksum-verify)
-// lazily as the cursor crosses them.
+// lazily as the cursor crosses them; a row is parsed only when Next returns
+// it — the merge compares sequence numbers read from the record headers.
 type Cursor struct {
 	streams []*extentCursor
+	msg     wire.Message // Next's result slot, overwritten by every call
 	err     error
 }
 
@@ -585,11 +587,13 @@ func (r *Run) JobCursor(job string) *Cursor {
 	return c
 }
 
-// Next returns the next row in sequence order. ok=false means exhausted or
-// failed — check Err to distinguish.
-func (c *Cursor) Next() (wire.Message, uint64, bool) {
+// Next returns the next row in sequence order. The message lives in a slot
+// the cursor reuses: it is valid until the following Next call, so a caller
+// keeping it copies *m (the copy shares Content, which is never reused).
+// ok=false means exhausted or failed — check Err to distinguish.
+func (c *Cursor) Next() (m *wire.Message, seq uint64, ok bool) {
 	if c.err != nil {
-		return wire.Message{}, 0, false
+		return nil, 0, false
 	}
 	best := -1
 	var bestSeq uint64
@@ -597,7 +601,7 @@ func (c *Cursor) Next() (wire.Message, uint64, bool) {
 		seq, ok, err := s.peekSeq()
 		if err != nil {
 			c.err = err
-			return wire.Message{}, 0, false
+			return nil, 0, false
 		}
 		if !ok {
 			continue
@@ -607,14 +611,12 @@ func (c *Cursor) Next() (wire.Message, uint64, bool) {
 		}
 	}
 	if best < 0 {
-		return wire.Message{}, 0, false
+		return nil, 0, false
 	}
-	m, seq, err := c.streams[best].next()
-	if err != nil {
-		c.err = err
-		return wire.Message{}, 0, false
+	if c.err = c.streams[best].next(&c.msg); c.err != nil {
+		return nil, 0, false
 	}
-	return m, seq, true
+	return &c.msg, bestSeq, true
 }
 
 // Err reports the first corruption or decode error the cursor hit; nil
@@ -627,73 +629,49 @@ type extentCursor struct {
 	off     int64 // next unread block
 	end     int64
 	payload []byte // current block's verified payload
-	pos     int    // read position within payload
-	peeked  bool
-	pSeq    uint64
-	pMsg    wire.Message
+	pos     int    // read position within payload: the next record header
 }
 
 func newExtentCursor(r *Run, e *extent) *extentCursor {
 	return &extentCursor{r: r, off: e.off, end: e.off + e.length}
 }
 
-// peekSeq reports the sequence number of the next row without consuming it.
+// peekSeq reports the sequence number of the next row without consuming or
+// parsing it, loading and verifying the next block when the current payload
+// is exhausted, and checking that the record fits its block.
 func (ec *extentCursor) peekSeq() (uint64, bool, error) {
-	if ec.peeked {
-		return ec.pSeq, true, nil
-	}
-	m, seq, ok, err := ec.decodeNext()
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	ec.peeked, ec.pMsg, ec.pSeq = true, m, seq
-	return seq, true, nil
-}
-
-func (ec *extentCursor) next() (wire.Message, uint64, error) {
-	if !ec.peeked {
-		m, seq, ok, err := ec.decodeNext()
-		if err != nil {
-			return wire.Message{}, 0, err
-		}
-		if !ok {
-			return wire.Message{}, 0, fmt.Errorf("%w: %s: cursor advanced past extent end", ErrCorrupt, ec.r.path)
-		}
-		return m, seq, nil
-	}
-	ec.peeked = false
-	return ec.pMsg, ec.pSeq, nil
-}
-
-// decodeNext yields the next record, loading and verifying the next block
-// when the current payload is exhausted.
-func (ec *extentCursor) decodeNext() (wire.Message, uint64, bool, error) {
 	for ec.pos >= len(ec.payload) {
 		if ec.off >= ec.end {
-			return wire.Message{}, 0, false, nil
+			return 0, false, nil
 		}
 		if err := ec.loadBlock(); err != nil {
-			return wire.Message{}, 0, false, err
+			return 0, false, err
 		}
 	}
-	bad := func(what string) (wire.Message, uint64, bool, error) {
-		return wire.Message{}, 0, false, fmt.Errorf("%w: %s: %s", ErrCorrupt, ec.r.path, what)
-	}
 	if ec.pos+recHdrSize > len(ec.payload) {
-		return bad("torn record header inside a verified block")
+		return 0, false, ec.bad("torn record header inside a verified block")
 	}
 	length := binary.LittleEndian.Uint32(ec.payload[ec.pos:])
-	seq := binary.LittleEndian.Uint64(ec.payload[ec.pos+4:])
+	if length > maxRecordLen || ec.pos+recHdrSize+int(length) > len(ec.payload) {
+		return 0, false, ec.bad("record length outside its block")
+	}
+	return binary.LittleEndian.Uint64(ec.payload[ec.pos+4:]), true, nil
+}
+
+// next parses the row peekSeq just reported into *m and moves past it.
+func (ec *extentCursor) next(m *wire.Message) error {
+	length := int(binary.LittleEndian.Uint32(ec.payload[ec.pos:]))
 	ec.pos += recHdrSize
-	if length > maxRecordLen || ec.pos+int(length) > len(ec.payload) {
-		return bad("record length outside its block")
+	var err error
+	if *m, err = wire.Parse(ec.payload[ec.pos : ec.pos+length]); err != nil {
+		return ec.bad(fmt.Sprintf("undecodable record: %v", err))
 	}
-	m, err := wire.Parse(ec.payload[ec.pos : ec.pos+int(length)])
-	if err != nil {
-		return bad(fmt.Sprintf("undecodable record: %v", err))
-	}
-	ec.pos += int(length)
-	return m, seq, true, nil
+	ec.pos += length
+	return nil
+}
+
+func (ec *extentCursor) bad(what string) error {
+	return fmt.Errorf("%w: %s: %s", ErrCorrupt, ec.r.path, what)
 }
 
 // loadBlock reads and checksum-verifies the block at ec.off.

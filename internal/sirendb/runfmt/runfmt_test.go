@@ -86,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, Row{Seq: seq, Msg: m})
+		got = append(got, Row{Seq: seq, Msg: *m})
 	}
 	if c.Err() != nil {
 		t.Fatalf("cursor error: %v", c.Err())
@@ -128,7 +128,7 @@ func TestJobCursorAndStats(t *testing.T) {
 			if !ok {
 				break
 			}
-			got = append(got, Row{Seq: seq, Msg: m})
+			got = append(got, Row{Seq: seq, Msg: *m})
 		}
 		if c.Err() != nil {
 			t.Fatalf("job %s cursor: %v", job, c.Err())

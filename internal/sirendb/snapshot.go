@@ -117,14 +117,14 @@ type src struct {
 	pos    int
 	rem    int // rows not yet yielded (run streams: advertised count)
 	peeked bool
-	pm     wire.Message
+	pm     *wire.Message // the peeked row: a stored head row or the run cursor's slot
 	pseq   uint64
 }
 
 // runCursorSrc wraps a runfmt cursor with the filter and error sink the
 // in-memory sources don't need.
 type runCursorSrc struct {
-	next   func() (wire.Message, uint64, bool)
+	next   func() (*wire.Message, uint64, bool)
 	err    func() error
 	filter func(wire.Message) bool
 	onErr  func(error)
@@ -148,7 +148,7 @@ func (s *src) peek() (uint64, bool) {
 				}
 				return 0, false
 			}
-			if s.rc.filter != nil && !s.rc.filter(m) {
+			if s.rc.filter != nil && !s.rc.filter(*m) {
 				continue
 			}
 			s.pm, s.pseq, s.peeked = m, seq, true
@@ -160,19 +160,20 @@ func (s *src) peek() (uint64, bool) {
 			return 0, false
 		}
 		r := &s.rows[s.idxs[s.pos]]
-		s.pm, s.pseq, s.peeked = r.msg, r.seq, true
+		s.pm, s.pseq, s.peeked = &r.msg, r.seq, true
 		return r.seq, true
 	}
 	if s.pos >= len(s.rows) {
 		return 0, false
 	}
 	r := &s.rows[s.pos]
-	s.pm, s.pseq, s.peeked = r.msg, r.seq, true
+	s.pm, s.pseq, s.peeked = &r.msg, r.seq, true
 	return r.seq, true
 }
 
 // take consumes the peeked row; only valid right after a successful peek.
-func (s *src) take() (wire.Message, uint64) {
+// The message is valid until the source's next peek.
+func (s *src) take() (*wire.Message, uint64) {
 	s.peeked = false
 	s.pos++
 	if s.rem > 0 {
@@ -202,7 +203,7 @@ func mergeSrcs(srcs []*src, f func(m wire.Message, seq uint64) bool) {
 			return
 		}
 		m, seq := srcs[best].take()
-		if !f(m, seq) {
+		if !f(*m, seq) {
 			return
 		}
 	}
@@ -309,7 +310,7 @@ func (c *Cursor) Next() (wire.Message, uint64, bool) {
 		return wire.Message{}, 0, false
 	}
 	m, seq := c.srcs[best].take()
-	return m, seq, true
+	return *m, seq, true
 }
 
 // Iter streams every snapshot message in global insertion order (a

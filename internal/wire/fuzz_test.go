@@ -34,8 +34,9 @@ func FuzzWireParse(f *testing.F) {
 // FuzzReassemble feeds Reassemble with parsed datagrams (one per line of the
 // fuzz input) plus a chunked-and-reversed version of the raw input, and
 // checks the structural invariants: no panic, content bounded by the sum of
-// chunk payloads, and Complete records reproducing the chunked content
-// exactly. The giant-TOT seed pins the hostile-Total fix — Reassemble must
+// chunk payloads, Complete records reproducing the chunked content exactly,
+// and record-for-record agreement with the map-keyed reference
+// implementation (referenceReassemble). The giant-TOT seed pins the hostile-Total fix — Reassemble must
 // walk the chunks that arrived, not the announced range, or this seed alone
 // costs two billion iterations.
 func FuzzReassemble(f *testing.F) {
@@ -58,6 +59,7 @@ func FuzzReassemble(f *testing.F) {
 			msgs = append(msgs, m)
 			payload += len(m.Content)
 		}
+		diffReassemble(t, msgs)
 		for _, r := range Reassemble(msgs) {
 			if len(r.Content) > payload {
 				t.Fatalf("record content %d bytes exceeds %d bytes of chunk payload", len(r.Content), payload)
@@ -74,6 +76,7 @@ func FuzzReassemble(f *testing.F) {
 		for i, j := 0, len(chunks)-1; i < j; i, j = i+1, j-1 {
 			chunks[i], chunks[j] = chunks[j], chunks[i]
 		}
+		diffReassemble(t, chunks)
 		recs := Reassemble(chunks)
 		if len(recs) != 1 {
 			t.Fatalf("chunked input reassembled to %d records", len(recs))

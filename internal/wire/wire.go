@@ -13,9 +13,10 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -64,13 +65,6 @@ type Header struct {
 	Type   string // one of the Type* constants
 	Seq    int    // chunk index, 0-based
 	Total  int    // chunk count (>= 1)
-}
-
-// Key returns the grouping key shared by all chunks of one logical record:
-// everything except Seq/Total.
-func (h Header) Key() string {
-	return strings.Join([]string{h.JobID, h.StepID, strconv.Itoa(h.PID), h.Hash, h.Host,
-		strconv.FormatInt(h.Time, 10), h.Layer, h.Type}, "\x1f")
 }
 
 // ProcessKey groups all records of one process instance (all types).
@@ -304,63 +298,132 @@ type Record struct {
 	Complete bool
 }
 
+// recordKey is the grouping key shared by all chunks of one logical record:
+// every header field except Seq/Total. Comparable, so it keys a map directly
+// with no string joins.
+type recordKey struct {
+	jobID, stepID string
+	pid           int
+	hash, host    string
+	time          int64
+	layer, typ    string
+}
+
+// chunk is one arrived chunk of a multi-chunk group.
+type chunk struct {
+	seq     int
+	content []byte
+}
+
 // Reassemble groups messages by record key and joins chunk contents. Records
 // with missing chunks are returned with Complete=false — SIREN keeps partial
 // data rather than discarding it (the fuzzy hashes of list categories remain
 // comparable even with gaps, which is why the lists are hashed as well).
+// Records come out in the order their first chunk appears in msgs.
 //
 // Chunks arrive in any order, so the group's chunk count is the maximum
 // Total announced across its chunks — not the first-seen header's. Sizing
 // the loop from the first chunk silently dropped any chunk with
 // Seq >= firstTotal (a reordered re-send with a larger Total) and could mark
 // the record Complete with data missing. Groups whose chunks disagree on
-// Total mix two versions of the record and are never Complete.
+// Total mix two versions of the record and are never Complete. A Seq that
+// arrives twice keeps its last write.
+//
+// The common record is a single datagram: its Content is the message's own
+// Content slice, not a copy, so callers must not mutate one through the
+// other. Multi-chunk records get one freshly allocated Content.
 func Reassemble(msgs []Message) []Record {
-	type group struct {
-		header   Header
-		maxTotal int  // largest Total announced by any chunk
-		mismatch bool // chunks disagreed on Total: two record versions mixed
-		chunks   map[int][]byte
+	var ra Reassembler
+	return ra.Reassemble(msgs)
+}
+
+// A Reassembler runs Reassemble batch after batch on buffers it reuses —
+// the shape of a consolidation worker that reassembles one job at a time.
+// The zero value is ready to use. Not safe for concurrent use.
+type Reassembler struct {
+	out    []Record
+	groups []group
+}
+
+// group is the reassembly state of one record besides its Record.
+type group struct {
+	maxTotal int  // largest Total announced by any chunk
+	mismatch bool // chunks disagreed on Total: two record versions mixed
+	firstSeq int
+	chunks   []chunk // every chunk in arrival order; nil while there is only the first
+}
+
+// Reassemble is the package-level Reassemble, except that the returned
+// slice is the Reassembler's own and is overwritten by the next call.
+func (ra *Reassembler) Reassemble(msgs []Message) []Record {
+	out, groups := ra.out[:0], ra.groups[:0]
+	if cap(out) < len(msgs) {
+		out, groups = make([]Record, 0, len(msgs)), make([]group, 0, len(msgs))
 	}
-	groups := make(map[string]*group)
-	var keys []string
-	for _, m := range msgs {
-		k := m.Key()
-		g, ok := groups[k]
+	index := make(map[recordKey]int, len(msgs))
+	last, lastKey := -1, recordKey{}
+	for i := range msgs {
+		m := &msgs[i]
+		k := recordKey{m.JobID, m.StepID, m.PID, m.Hash, m.Host, m.Time, m.Layer, m.Type}
+		gi, ok := last, last >= 0 && k == lastKey // a record's consecutive chunks skip the map
 		if !ok {
-			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int][]byte)}
-			groups[k] = g
-			keys = append(keys, k)
+			gi, ok = index[k]
 		}
+		last, lastKey = gi, k
+		if !ok {
+			last = len(out)
+			index[k] = last
+			out = append(out, Record{Header: m.Header, Content: m.Content})
+			groups = append(groups, group{maxTotal: m.Total, firstSeq: m.Seq})
+			continue
+		}
+		g := &groups[gi]
 		if m.Total != g.maxTotal {
 			g.mismatch = true
 			if m.Total > g.maxTotal {
 				g.maxTotal = m.Total
 			}
 		}
-		g.chunks[m.Seq] = m.Content
+		if g.chunks == nil {
+			g.chunks = append(g.chunks, chunk{g.firstSeq, out[gi].Content})
+		}
+		g.chunks = append(g.chunks, chunk{m.Seq, m.Content})
 	}
-	out := make([]Record, 0, len(keys))
-	for _, k := range keys {
-		g := groups[k]
-		g.header.Total = g.maxTotal
+	for gi := range out {
+		g, r := &groups[gi], &out[gi]
+		r.Header.Total = g.maxTotal
+		cs := g.chunks
+		if cs == nil {
+			r.Complete = g.maxTotal == 1 && g.firstSeq == 0
+			continue
+		}
 		// Walk the chunks that actually arrived, in Seq order, never the
 		// announced range: a single datagram with TOT=2000000000 must not
-		// cost two billion map probes. The Seqs are distinct ints, so
-		// len == maxTotal with min 0 and max maxTotal-1 pigeonholes to
-		// exactly the full range [0, maxTotal).
-		seqs := make([]int, 0, len(g.chunks))
-		for s := range g.chunks {
-			seqs = append(seqs, s)
+		// cost two billion iterations. After dropping overwritten Seqs the
+		// Seqs are distinct ints, so len == maxTotal with min 0 and max
+		// maxTotal-1 pigeonholes to exactly the full range [0, maxTotal).
+		if !slices.IsSortedFunc(cs, cmpSeq) {
+			slices.SortStableFunc(cs, cmpSeq)
 		}
-		sort.Ints(seqs)
-		complete := !g.mismatch && len(seqs) == g.maxTotal &&
-			seqs[0] == 0 && seqs[len(seqs)-1] == g.maxTotal-1
-		var content []byte
-		for _, s := range seqs {
-			content = append(content, g.chunks[s]...)
+		n, size := 0, 0
+		for i, c := range cs {
+			if i+1 < len(cs) && cs[i+1].seq == c.seq {
+				continue // overwritten by a later arrival of the same Seq
+			}
+			cs[n] = c
+			n++
+			size += len(c.content)
 		}
-		out = append(out, Record{Header: g.header, Content: content, Complete: complete})
+		cs = cs[:n]
+		r.Complete = !g.mismatch && n == g.maxTotal && cs[0].seq == 0 && cs[n-1].seq == g.maxTotal-1
+		content := make([]byte, 0, size)
+		for _, c := range cs {
+			content = append(content, c.content...)
+		}
+		r.Content = content
 	}
+	ra.out, ra.groups = out, groups
 	return out
 }
+
+func cmpSeq(a, b chunk) int { return cmp.Compare(a.seq, b.seq) }
