@@ -49,13 +49,15 @@ lint: vet fmt-check staticcheck sirenlint
 # 10 seconds of coverage-guided fuzzing per target — enough to replay the
 # checked-in seeds (including the hostile-TOT reassembly datagram) plus a
 # short randomized excursion, cheap enough for every CI push. Go allows one
-# -fuzz pattern per invocation, hence three runs.
+# -fuzz pattern per invocation, hence one run per target. FuzzWeighted diffs
+# the bit-parallel edit-distance kernel against the DP it replaced.
 # FuzzRunDecode caps minimization at 5 attempts: the default 60s budget per
 # shrink makes a single found crash look like a hang in CI logs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzWireParse$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzReassemble$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzParseDigest$$' -fuzztime=10s ./internal/ssdeep
+	$(GO) test -run=NONE -fuzz='^FuzzWeighted$$' -fuzztime=10s ./internal/editdist
 	$(GO) test -run=NONE -fuzz='^FuzzRunDecode$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/sirendb/runfmt
 
 # Full benchmark suite (regenerates the evaluation tables alongside timings).

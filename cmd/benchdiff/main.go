@@ -3,7 +3,9 @@
 // ns/op across repeated counts — the run least disturbed by scheduler noise —
 // and either writes that reduction as a baseline JSON or compares it against a
 // committed baseline, failing when the geometric-mean slowdown exceeds the
-// threshold.
+// threshold or any single benchmark slows by more than perBenchBound. The
+// second bound keeps a large speed-up in one benchmark from averaging away a
+// regression in another.
 //
 // Write a baseline:
 //
@@ -32,6 +34,12 @@ import (
 	"strconv"
 	"strings"
 )
+
+// perBenchBound is the largest slowdown (current/baseline) any one
+// benchmark may show, whatever the geomean. With the geomean bound alone,
+// one of nine benchmarks could slow by up to 1.25⁹ ≈ 7.4×, or by more when
+// another got faster.
+const perBenchBound = 1.5
 
 // Baseline is the committed artifact: benchmark key -> best ns/op.
 type Baseline struct {
@@ -73,7 +81,9 @@ func main() {
 		writeBaseline(*out, *note, cur)
 		return
 	}
-	compare(*baselinePath, cur, *threshold)
+	if err := compare(os.Stdout, *baselinePath, cur, *threshold); err != nil {
+		fatalf("%v", err)
+	}
 }
 
 // parseBench reads `go test -bench` output. Package headers ("pkg: path")
@@ -149,17 +159,20 @@ func writeBaseline(path, note string, cur map[string]float64) {
 	fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(cur), path)
 }
 
-func compare(path string, cur map[string]float64, threshold float64) {
+// compare prints the per-benchmark table to w and returns an error when a
+// baseline benchmark is missing from cur, when the geomean slowdown exceeds
+// threshold, or when any benchmark slows by more than perBenchBound.
+func compare(w io.Writer, path string, cur map[string]float64, threshold float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("reading baseline: %v", err)
+		return fmt.Errorf("reading baseline: %w", err)
 	}
 	var base Baseline
 	if err := json.Unmarshal(data, &base); err != nil {
-		fatalf("parsing baseline %s: %v", path, err)
+		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
 	if len(base.NsPerOp) == 0 {
-		fatalf("baseline %s holds no benchmarks", path)
+		return fmt.Errorf("baseline %s holds no benchmarks", path)
 	}
 
 	keys := make([]string, 0, len(base.NsPerOp))
@@ -169,8 +182,8 @@ func compare(path string, cur map[string]float64, threshold float64) {
 	sort.Strings(keys)
 
 	logSum, n := 0.0, 0
-	var missing []string
-	fmt.Printf("%-72s %12s %12s %8s\n", "benchmark", "baseline", "current", "ratio")
+	var missing, over []string
+	fmt.Fprintf(w, "%-72s %12s %12s %8s\n", "benchmark", "baseline", "current", "ratio")
 	for _, k := range keys {
 		b := base.NsPerOp[k]
 		c, ok := cur[k]
@@ -179,24 +192,32 @@ func compare(path string, cur map[string]float64, threshold float64) {
 			continue
 		}
 		ratio := c / b
-		fmt.Printf("%-72s %12.0f %12.0f %7.2fx\n", k, b, c, ratio)
+		fmt.Fprintf(w, "%-72s %12.0f %12.0f %7.2fx\n", k, b, c, ratio)
+		if ratio > perBenchBound {
+			over = append(over, fmt.Sprintf("%s %.2fx", k, ratio))
+		}
 		logSum += math.Log(ratio)
 		n++
 	}
 	for k, c := range cur {
 		if _, ok := base.NsPerOp[k]; !ok {
-			fmt.Printf("%-72s %12s %12.0f   (new)\n", k, "-", c)
+			fmt.Fprintf(w, "%-72s %12s %12.0f   (new)\n", k, "-", c)
 		}
 	}
 	if len(missing) > 0 {
-		fatalf("benchmarks in baseline but missing from this run: %s", strings.Join(missing, ", "))
+		return fmt.Errorf("benchmarks in baseline but missing from this run: %s", strings.Join(missing, ", "))
 	}
 	geomean := math.Exp(logSum / float64(n))
-	fmt.Printf("geomean slowdown: %.3fx (threshold %.2fx, %d benchmarks)\n", geomean, threshold, n)
+	fmt.Fprintf(w, "geomean slowdown: %.3fx (threshold %.2fx, %d benchmarks; per-benchmark bound %.2fx)\n",
+		geomean, threshold, n, perBenchBound)
 	if geomean > threshold {
-		fatalf("benchmark regression: geomean %.3fx exceeds threshold %.2fx", geomean, threshold)
+		return fmt.Errorf("benchmark regression: geomean %.3fx exceeds threshold %.2fx", geomean, threshold)
 	}
-	fmt.Println("benchdiff: PASS")
+	if len(over) > 0 {
+		return fmt.Errorf("benchmark regression: over the per-benchmark bound %.2fx: %s", perBenchBound, strings.Join(over, ", "))
+	}
+	fmt.Fprintln(w, "benchdiff: PASS")
+	return nil
 }
 
 func fatalf(format string, args ...any) {

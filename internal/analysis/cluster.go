@@ -74,8 +74,7 @@ func (d *Dataset) SimilarityClusters(threshold int, backend ssdeep.Backend) []Cl
 		return bins[i].rec.FileH < bins[j].rec.FileH
 	})
 
-	// Union-find over pairwise scores, pruned by the block-size bucketing
-	// inside the Matcher.
+	// Union-find over the scores of all pairs not already joined.
 	parent := make([]int, len(bins))
 	for i := range parent {
 		parent[i] = i
@@ -94,25 +93,21 @@ func (d *Dataset) SimilarityClusters(threshold int, backend ssdeep.Backend) []Cl
 		}
 	}
 
-	digests := make([]ssdeep.Digest, len(bins))
-	valid := make([]bool, len(bins))
+	// Each digest is parsed and run-clamped once, not once per pair; an
+	// unparseable digest leaves its bin a singleton.
+	digests := make([]preparedChar, len(bins))
 	for i, b := range bins {
-		dg, err := ssdeep.ParseDigest(b.rec.FileH)
-		if err != nil {
-			continue // unparseable digest: the bin stays a singleton
-		}
-		digests[i] = dg
-		valid[i] = true
+		digests[i] = prepareChar(b.rec.FileH)
 	}
 	for i := 0; i < len(bins); i++ {
-		if !valid[i] {
+		if !digests[i].ok {
 			continue
 		}
 		for j := i + 1; j < len(bins); j++ {
-			if !valid[j] || find(i) == find(j) {
+			if !digests[j].ok || find(i) == find(j) {
 				continue
 			}
-			if ssdeep.CompareDigests(digests[i], digests[j], backend) >= threshold {
+			if ssdeep.ComparePrepared(digests[i].p, digests[j].p, backend) >= threshold {
 				union(i, j)
 			}
 		}

@@ -1,7 +1,7 @@
-// Edge cases of the two functions the identify endpoint leans on hardest:
-// DeriveLabel (every query row's label) and scoreOrZero (every digest
-// comparison — a malformed digest from a hostile or truncated request must
-// score 0, never abort the search).
+// Edge cases of the functions the identify endpoint leans on hardest:
+// DeriveLabel (every query row's label) and prepareChar + scorePrepared
+// (every digest comparison — a malformed digest from a hostile or truncated
+// request must score 0, never abort the search).
 package analysis
 
 import (
@@ -48,6 +48,12 @@ func TestDeriveLabelEdges(t *testing.T) {
 			t.Errorf("DeriveLabel(%q) = %q, want %q", c.exe, got, c.want)
 		}
 	}
+}
+
+// scoreOrZero is the string-in, score-out composition every identify path
+// makes of prepareChar and scorePrepared.
+func scoreOrZero(a, b string, backend ssdeep.Backend) int {
+	return scorePrepared(prepareChar(a), prepareChar(b), backend)
 }
 
 func TestScoreOrZeroMalformed(t *testing.T) {

@@ -91,6 +91,26 @@ type preparedChar struct {
 	ok bool
 }
 
+// prepareChar parses and clamps one digest; an empty or malformed digest
+// yields ok = false.
+func prepareChar(d string) preparedChar {
+	if d == "" {
+		return preparedChar{}
+	}
+	p, err := ssdeep.ParsePrepared(d)
+	return preparedChar{p: p, ok: err == nil}
+}
+
+// scorePrepared compares two prepared digests, returning 0 when either is
+// empty or malformed (missing information must not abort the search —
+// SIREN hashes the lists precisely so that partial data stays comparable).
+func scorePrepared(a, b preparedChar, backend ssdeep.Backend) int {
+	if !a.ok || !b.ok {
+		return 0
+	}
+	return ssdeep.ComparePrepared(a.p, b.p, backend)
+}
+
 // fpEntry is one catalog entry with its parse-once comparison state.
 type fpEntry struct {
 	fp    Fingerprint
@@ -207,12 +227,7 @@ func prepareEntry(s selected) fpEntry {
 		rec: r,
 	}
 	for c, d := range RecordDigests(r).array() {
-		if d == "" {
-			continue
-		}
-		if p, err := ssdeep.ParsePrepared(d); err == nil {
-			e.chars[c] = preparedChar{p: p, ok: true}
-		}
+		e.chars[c] = prepareChar(d)
 	}
 	return e
 }
@@ -393,13 +408,8 @@ func (ix *FingerprintIndex) live(id int32) bool {
 // partial data stays comparable).
 func prepareQuery(q Digests) (qp [numChars]preparedChar, any bool) {
 	for c, d := range q.array() {
-		if d == "" {
-			continue
-		}
-		if p, err := ssdeep.ParsePrepared(d); err == nil {
-			qp[c] = preparedChar{p: p, ok: true}
-			any = true
-		}
+		qp[c] = prepareChar(d)
+		any = any || qp[c].ok
 	}
 	return qp, any
 }
@@ -410,10 +420,8 @@ func scoreEntry(e *fpEntry, qp *[numChars]preparedChar, backend ssdeep.Backend) 
 	var s [numChars]int
 	total := 0
 	for c := range s {
-		if qp[c].ok && e.chars[c].ok {
-			s[c] = ssdeep.ComparePrepared(qp[c].p, e.chars[c].p, backend)
-			total += s[c]
-		}
+		s[c] = scorePrepared(qp[c], e.chars[c], backend)
+		total += s[c]
 	}
 	if total == 0 {
 		return SimilarityRow{}, false
@@ -538,20 +546,6 @@ func (ix *FingerprintIndex) SearchExhaustive(q Digests, topN int, backend ssdeep
 	return finishRows(rows, topN)
 }
 
-// scoreOrZero compares two digests, returning 0 for empty or malformed
-// digests (missing information must not abort the search — SIREN hashes the
-// lists precisely so that partial data stays comparable).
-func scoreOrZero(a, b string, backend ssdeep.Backend) int {
-	if a == "" || b == "" {
-		return 0
-	}
-	s, err := ssdeep.CompareWith(a, b, backend)
-	if err != nil {
-		return 0
-	}
-	return s
-}
-
 // SimilaritySearch computes Table 7: it ranks every *known* (labelled) user
 // executable by average fuzzy-hash similarity to the baseline record across
 // the six characteristics (modules, compilers, objects, file, strings,
@@ -579,8 +573,13 @@ func (d *Dataset) FindUnknown() (*postprocess.ProcessRecord, bool) {
 
 // IdentifyByHash ranks known executables against an arbitrary single digest
 // (FILE_H only) — the simpler identification mode used by the quickstart
-// example and the exact-vs-fuzzy ablation.
+// example and the exact-vs-fuzzy ablation. The query digest is parsed once;
+// an empty or malformed one matches nothing.
 func (d *Dataset) IdentifyByHash(fileH string, topN int, backend ssdeep.Backend) []SimilarityRow {
+	q := prepareChar(fileH)
+	if !q.ok {
+		return nil
+	}
 	seen := make(map[string]bool)
 	var rows []SimilarityRow
 	for _, r := range d.Records {
@@ -588,7 +587,7 @@ func (d *Dataset) IdentifyByHash(fileH string, topN int, backend ssdeep.Backend)
 			continue
 		}
 		seen[r.FileH] = true
-		s := scoreOrZero(fileH, r.FileH, backend)
+		s := scorePrepared(q, prepareChar(r.FileH), backend)
 		if s == 0 {
 			continue
 		}

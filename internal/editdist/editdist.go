@@ -14,12 +14,18 @@
 // All functions operate on byte strings because SSDeep digests are ASCII
 // (base64 alphabet); multi-byte runes never occur in digests.
 //
-// The distance kernels run once per characteristic per scored candidate on
-// the identify path, so they avoid heap work for digest-sized inputs:
-// rolling DP rows live on the stack whenever the inner string is shorter
-// than stackRow (spamsum signatures are at most 64 bytes), and the n-gram
-// gate packs grams into stack arrays instead of building a map.
+// Weighted runs once per characteristic per scored candidate on the
+// identify path, so it is not a DP: it counts the longest common subsequence
+// bit-parallel (Allison–Dix, in Hyyrö's formulation), one machine word per
+// 64 bytes of the shorter string. A spamsum signature (at most 64 bytes)
+// fits one word, so a comparison is one pass of a few word operations per
+// byte of the longer string, with the match masks on the stack. The
+// Levenshtein and Damerau–Levenshtein DPs keep their rolling rows on the
+// stack for inputs shorter than stackRow, and the n-gram gate packs grams
+// into stack arrays instead of building a map.
 package editdist
+
+import "math/bits"
 
 // stackRow bounds the inner DP dimension served from the stack. Spamsum
 // signatures are ≤64 bytes; anything longer falls back to the heap.
@@ -118,38 +124,72 @@ func DamerauLevenshtein(a, b string) int {
 // Weighted returns the edit distance with insert and delete cost 1 and
 // substitution cost 2, matching the reference ssdeep edit_distn weights.
 // With these weights a substitution never beats the equivalent
-// delete-then-insert, so the distance equals len(a)+len(b)-2*LCS(a,b).
+// delete-then-insert, so the distance equals len(a)+len(b)-2*LCS(a,b), which
+// is how it is computed.
 func Weighted(a, b string) int {
 	if a == b {
 		return 0
 	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
+	return len(a) + len(b) - 2*lcsLength(a, b)
+}
+
+// lcsLength returns the length of the longest common subsequence of a and b.
+//
+// Bit i of the state v stands for byte i of the shorter string b: once a
+// prefix of the longer string a is consumed, the cleared bits count the LCS
+// of that prefix and b. Per byte c of a, with peq[c] the positions where b
+// holds c:
+//
+//	u = v & peq[c]
+//	v = (v + u) | (v - u)
+//
+// Bits past len(b) never match, so v - u keeps them set and the count
+// needs no mask. Up to 64 bytes v is one word and peq sits on the stack;
+// this loop is about three times faster than the general one below. Beyond
+// that v spans ⌈len(b)/64⌉ words: the addition carries from word to word,
+// the subtraction never borrows because u ⊆ v.
+func lcsLength(a, b string) int {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
-	var prevBuf, curBuf [stackRow]int
-	prev, cur := row(&prevBuf, len(b)+1), row(&curBuf, len(b)+1)
-	for j := 0; j <= len(b); j++ {
-		prev[j] = j
+	if len(b) == 0 {
+		return 0
 	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ca := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cost := 2
-			if ca == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+	if len(b) <= 64 {
+		var peq [256]uint64
+		for i := 0; i < len(b); i++ {
+			peq[b[i]] |= 1 << i
 		}
-		prev, cur = cur, prev
+		v := ^uint64(0)
+		for i := 0; i < len(a); i++ {
+			u := v & peq[a[i]]
+			v = (v + u) | (v - u)
+		}
+		return bits.OnesCount64(^v)
 	}
-	return prev[len(b)]
+	w := (len(b) + 63) / 64
+	peq, v := make([]uint64, 256*w), make([]uint64, w)
+	for i := 0; i < len(b); i++ {
+		peq[int(b[i])*w+i/64] |= 1 << (i % 64)
+	}
+	for k := range v {
+		v[k] = ^uint64(0)
+	}
+	for i := 0; i < len(a); i++ {
+		pm := peq[int(a[i])*w:][:w]
+		var carry uint64
+		for k, x := range v {
+			u := x & pm[k]
+			var sum uint64
+			sum, carry = bits.Add64(x, u, carry)
+			v[k] = sum | (x - u)
+		}
+	}
+	n := 0
+	for _, x := range v {
+		n += bits.OnesCount64(^x)
+	}
+	return n
 }
 
 // LongestCommonSubstring returns the length of the longest contiguous
