@@ -91,11 +91,13 @@ bench-read:
 		-benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) ./internal/sirendb ./internal/postprocess
 
 # WAL durability suite under the race detector: replay-corruption matrix,
-# crash-mid-group-commit and crash-mid-compact recovery, locking, migration,
-# and shard-count changes. The focused uncached runner for store work;
-# test-race already covers these tests, so ci does not run them twice.
+# crash-mid-group-commit and crashed-Seal recovery (across a shard-count
+# change too), locking, shard-count changes, leftover-segment removal, and
+# the refusal of retired on-disk formats. The focused uncached runner for
+# store work; test-race already covers these tests, so ci does not run them
+# twice.
 test-replay:
-	$(GO) test -race -count=1 -run 'Replay|Corrupt|Crash|Torn|GroupCommit|Closed|Locked|Legacy|ShardCount|Compact|Persist' ./internal/sirendb
+	$(GO) test -race -count=1 -run 'Replay|Corrupt|Crash|Torn|GroupCommit|Closed|Locked|ShardCount|Leftover|Refuses|Persist' ./internal/sirendb
 
 # Sealed-run storage tier suite under the race detector: the seal crash
 # matrix (debris sweep, post-marker roll-forward, torn-committed-run

@@ -26,9 +26,10 @@
 // -readonly opens every member with a shared lock instead of the exclusive
 // one: several siren-serve processes (or any other readers) can serve the
 // same campaign side by side, and none of them can mutate it. Writers are
-// still excluded for as long as any reader holds the lock. Read-only opens
-// require fully recovered stores — a member with an unfinished compaction
-// or an unmigrated legacy WAL is refused (open it writable once first).
+// still excluded for as long as any reader holds the lock. A read-only open
+// of a member whose writer crashed mid-Seal serves what the next writable
+// open would recover (a committed seal's WAL residue is filtered, an
+// uncommitted seal's run files are ignored) without touching the disk.
 //
 // API: POST /api/v1/identify, GET /api/v1/jobs, /api/v1/clusters?threshold=,
 // /api/v1/report, /api/v1/stats, /healthz (see internal/server). GET /metrics

@@ -183,6 +183,6 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("repo finding: %s", d)
 	}
 	if len(res.Suppressed) == 0 {
-		t.Log("note: no suppressed findings (expected at least the compaction fsync exemptions)")
+		t.Log("note: no suppressed findings (expected at least Seal's fsync exemptions)")
 	}
 }

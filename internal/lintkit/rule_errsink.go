@@ -3,7 +3,7 @@
 // The no-acked-row-lost guarantee (DESIGN.md §3) is only as strong as the
 // weakest error path: a Close that silently fails on a WAL segment, a Sync
 // whose error is dropped in a shutdown sequence, an fdatasync return code
-// thrown away during compaction or while sealing a run file. In the
+// thrown away while sealing a run file or truncating a segment. In the
 // durability packages (sirendb, its runfmt run-file layer, receiver,
 // catalog) and in every command, a discarded error from a
 // Close/Sync/Flush/fdatasync-class call is a finding. Check it, join it

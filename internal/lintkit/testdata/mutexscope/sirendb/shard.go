@@ -111,7 +111,7 @@ type store struct {
 
 // The freeze-the-world pattern: locks taken in a loop with deferred
 // unlocks are still held after the loop — blocking work there is flagged
-// (and the real compaction path documents itself with //lint:ignore).
+// (and the real Seal path documents itself with //lint:ignore).
 func (st *store) badLockAllThenFsync() error {
 	for _, s := range st.shards {
 		s.mu.Lock()

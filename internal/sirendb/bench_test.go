@@ -120,6 +120,36 @@ func benchReadDB(b *testing.B, shards, rows int) *DB {
 	return db
 }
 
+// scanHoldingAllLocks is the pre-snapshot read path: the same k-way merge
+// over the shard heads, performed while holding every shard RLock for the
+// full duration of the scan — so every concurrent insert stalls until the
+// scan finishes. It is the baseline BenchmarkScanSnapshot and
+// BenchmarkInsertDuringScan measure Scan against; no production code
+// scans this way.
+func (db *DB) scanHoldingAllLocks(f func(m wire.Message) bool) {
+	defer db.rlockAll()()
+	pos := make([]int, len(db.shards))
+	for {
+		best := -1
+		var bestSeq uint64
+		for i, s := range db.shards {
+			if pos[i] >= len(s.rows) {
+				continue
+			}
+			if sq := s.rows[pos[i]].seq; best < 0 || sq < bestSeq {
+				best, bestSeq = i, sq
+			}
+		}
+		if best < 0 {
+			return
+		}
+		if !f(db.shards[best].rows[pos[best]].msg) {
+			return
+		}
+		pos[best]++
+	}
+}
+
 // BenchmarkScanSnapshot measures a whole-store scan on an idle store: the
 // snapshot path (brief lock, then lock-free merge) against the pre-snapshot
 // shape that held every shard RLock for the scan's duration.

@@ -52,12 +52,13 @@ func ResolveSetPaths(spec string) ([]string, error) {
 }
 
 // basePath folds one of a store's on-disk artifacts back to its WAL base
-// path: the advisory lock "base.lock", compaction temporaries
-// "base.N.compact" / "base.compact-commit", seal artifacts
-// "base.seal-commit" (and its ".tmp") / "base.run.G.S", and segment files
-// "base.N". Exactly one numeric (segment) suffix is stripped — a base path
-// that itself ends in digits must not collapse further ("siren.0.2" is
-// segment 2 of base "siren.0", not of base "siren").
+// path: the advisory lock "base.lock", seal artifacts "base.seal-commit"
+// (and its ".tmp") / "base.run.G.S", segment files "base.N", and the
+// retired compaction artifacts "base.N.compact" / "base.compact-commit" —
+// Open refuses such a store, and a glob over it must name that base rather
+// than a phantom member. Exactly one numeric (segment) suffix is stripped —
+// a base path that itself ends in digits must not collapse further
+// ("siren.0.2" is segment 2 of base "siren.0", not of base "siren").
 func basePath(p string) string {
 	if s, ok := strings.CutSuffix(p, ".lock"); ok {
 		return s

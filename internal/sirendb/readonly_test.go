@@ -5,7 +5,6 @@ package sirendb
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -69,9 +68,6 @@ func TestReadOnlyOpenServesAndRefusesWrites(t *testing.T) {
 	if err := db.Seal(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Seal = %v, want ErrReadOnly", err)
 	}
-	if err := db.Compact(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Compact = %v, want ErrReadOnly", err)
-	}
 	if _, err := db.DropSealedBefore(1 << 62); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("DropSealedBefore = %v, want ErrReadOnly", err)
 	}
@@ -124,30 +120,6 @@ func TestReadOnlySharedLock(t *testing.T) {
 	if _, err := OpenOptions(path, Options{Shards: 2, ReadOnly: true}); !errors.Is(err, ErrLocked) {
 		t.Fatalf("read-only open under writer = %v, want ErrLocked", err)
 	}
-}
-
-// TestReadOnlyRefusesRecovery: read-only opens cannot mutate, so a store
-// needing recovery work — an uncommitted compaction to finish, a legacy
-// single-file WAL to migrate — must be refused, not half-served.
-func TestReadOnlyRefusesRecovery(t *testing.T) {
-	t.Run("compact_marker", func(t *testing.T) {
-		path, _ := buildSealedStore(t, 50, 30)
-		if err := os.WriteFile(compactMarkerPath(path), []byte("shards=2\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenOptions(path, Options{Shards: 2, ReadOnly: true}); err == nil {
-			t.Fatal("read-only open accepted a store mid-compaction")
-		}
-	})
-	t.Run("legacy_wal", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "siren.wal")
-		if err := os.WriteFile(path, []byte(segMagic), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenOptions(path, Options{Shards: 2, ReadOnly: true}); err == nil {
-			t.Fatal("read-only open accepted an unmigrated legacy WAL")
-		}
-	})
 }
 
 // TestOpenSetReadOnly: the serving tier opens the receivers' stores

@@ -7,7 +7,8 @@
 // O(index) (map the file, decode footer + job index, no row replay) and
 // replays only the WAL head — open cost stops growing with campaign history.
 //
-// The transaction mirrors Compact's commit-marker shape:
+// The transaction is the store's one crash-recovery protocol — the only
+// operation that rewrites a WAL segment — and commits through a marker:
 //
 //	phase 1: write + fsync one run per non-empty shard, fsync the directory
 //	phase 2: atomically replace "base.seal-commit" with "gen=G maxseq=N\n"
@@ -237,14 +238,15 @@ func (db *DB) closeRunsLocked() {
 // generation with a durable marker, and truncates the segments — after
 // which Open replays only rows inserted since. Leftover segments from an
 // older shard count are folded in (their replayed rows are part of the
-// sealed head) and removed. Sealing an empty head is a no-op.
+// sealed head) and removed. Sealing an empty head commits no generation; it
+// only removes leftover segments, whose rows are then all sealed residue.
 //
-// Seal is transactional against crashes exactly like Compact: the marker is
-// the commit point, a pre-marker crash changes nothing, a post-marker crash
-// is rolled forward by the next Open (runs are authoritative, WAL residue
-// with seq <= the marker's maxseq is filtered during replay). On a
-// post-marker failure the store is poisoned — an insert acknowledged into a
-// segment that recovery will re-filter could otherwise be lost.
+// Seal is transactional against crashes: the marker is the commit point, a
+// pre-marker crash changes nothing, a post-marker crash is rolled forward by
+// the next Open (runs are authoritative, WAL residue with seq <= the
+// marker's maxseq is filtered during replay). On a post-marker failure the
+// store is poisoned — an insert acknowledged into a segment that recovery
+// will re-filter could otherwise be lost.
 func (db *DB) Seal() error {
 	if db.path == "" {
 		return nil
@@ -255,7 +257,7 @@ func (db *DB) Seal() error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	// Freeze the world, same order as Compact: all syncMu (stops group
+	// Freeze the world, in the store's lock order: all syncMu (stops group
 	// commits mid-swap), then all mu (freezes rows and segment offsets).
 	for _, s := range db.shards {
 		s.syncMu.Lock()
@@ -275,6 +277,9 @@ func (db *DB) Seal() error {
 		total += len(s.rows)
 	}
 	if total == 0 {
+		if err := db.removeStaleSegs(); err != nil {
+			return fmt.Errorf("sirendb: seal: %w", err)
+		}
 		return nil
 	}
 	sealStart := time.Now()
@@ -323,7 +328,7 @@ func (db *DB) Seal() error {
 	// Phase 2: commit. The marker replace is atomic; once durable, the runs
 	// are the authoritative home of every sealed row. A marker-write error
 	// is ambiguous (the rename may yet be durable), so fail forward into the
-	// poisoned state recovery knows how to finish, exactly like Compact.
+	// poisoned state recovery knows how to finish.
 	if err := writeSealMarker(db.path, db.dir, gen, maxSeq); err != nil {
 		db.recordSyncErr(fmt.Errorf("sirendb: seal interrupted, reopen to recover: %w", err))
 		return fmt.Errorf("sirendb: seal: %w", err)
@@ -367,12 +372,9 @@ func (db *DB) Seal() error {
 	// into the head and are now sealed; drop them. Then swap the in-memory
 	// head for the opened runs — copy-on-write on the run slices, so
 	// existing snapshots keep serving the pre-seal view.
-	for _, p := range db.staleSegs {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return rollForward(err)
-		}
+	if err := db.removeStaleSegs(); err != nil {
+		return rollForward(err)
 	}
-	db.staleSegs = nil
 	for _, w := range outs {
 		r, err := runfmt.Open(w.path)
 		if err != nil {
@@ -394,11 +396,29 @@ func (db *DB) Seal() error {
 	db.sealedSeq = maxSeq
 	db.sealMu.Unlock()
 	// Corrupt WAL residue (skipped, counted records) was truncated with the
-	// segments, same as after a Compact rewrite.
+	// segments.
 	db.corrupt.Store(0)
 	db.mx.sealPhaseNS[3].Since(phaseStart)
 	db.mx.sealNS.Since(sealStart)
 	return nil
+}
+
+// removeStaleSegs deletes the leftover segments of an older shard count and
+// makes the removal durable. Seal calls it, with the world frozen, once every
+// valid row of those files is sealed: either it just sealed them with the
+// head, or the head is empty — then open filtered them all as sealed residue,
+// since any other valid row would sit in the head.
+func (db *DB) removeStaleSegs() error {
+	if len(db.staleSegs) == 0 {
+		return nil
+	}
+	for _, p := range db.staleSegs {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	db.staleSegs = nil
+	return fsyncDir(db.dir)
 }
 
 // DropSealedBefore removes every sealed run whose newest row has

@@ -64,7 +64,7 @@ type shard struct {
 	// it grows monotonically; the crash-recovery tests read it to model
 	// what survives power loss.
 	synced atomic.Int64
-	// syncMu serialises fdatasync with Compact's handle swap and Close,
+	// syncMu serialises fdatasync with Seal's segment truncation and Close,
 	// without holding mu across the disk wait — appends proceed while a
 	// group commit is in flight. Lock order: syncMu before mu.
 	syncMu sync.Mutex

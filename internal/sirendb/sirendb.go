@@ -13,12 +13,14 @@
 // ride on OS write-back and an fsync never stalls concurrent appends.
 //
 // Every record carries a store-wide sequence number, so Scan/All/ByJob
-// present the merged shards in global insertion order and replay after a
-// crash-interrupted Compact deduplicates records that momentarily exist in
-// two segment files. Replay tolerates a torn final record (crash mid-write)
-// and skips corrupt records (checksummed), in keeping with SIREN's
-// graceful-failure design. Single-file WALs written by earlier versions are
-// migrated to segments on first open, crash-safely.
+// present the merged shards in global insertion order. Seal freezes the WAL
+// head into immutable sorted runs; it is the only operation that rewrites a
+// WAL segment, and its commit marker is the store's one crash-recovery
+// protocol. Replay tolerates a torn final record (crash mid-write) and skips
+// corrupt records (checksummed), in keeping with SIREN's graceful-failure
+// design. Open refuses on-disk formats this package no longer reads — the
+// pre-segment single-file WAL and the retired compaction marker — rather
+// than serve an empty store over them.
 package sirendb
 
 import (
@@ -71,8 +73,10 @@ type Options struct {
 	// writer's exclusive lock excludes them and vice versa), segments are
 	// replayed from read-only handles without header repair or truncation,
 	// sealed runs are attached, and no group-commit syncers start. Mutating
-	// operations return ErrReadOnly. A store left needing writable recovery
-	// (legacy WAL, uncompleted compaction) refuses to open read-only.
+	// operations return ErrReadOnly. Recovery that needs no write still
+	// happens (a crashed seal's WAL residue is filtered); recovery that would
+	// write (sweeping an uncommitted seal's run files) is left to the next
+	// writable open.
 	ReadOnly bool
 	// Metrics, when non-nil, registers the store's instruments there: WAL
 	// append and group-commit fdatasync latency, commit batch bytes, Seal
@@ -106,7 +110,7 @@ type DB struct {
 	corrupt   atomic.Int64  // records skipped during replay
 	closed    atomic.Bool
 	lockFile  *os.File
-	staleSegs []string // segment files with index >= len(shards), folded in by Compact
+	staleSegs []string // segment files with index >= len(shards), removed by the next Seal
 
 	// sealMu guards the sealed-tier bookkeeping. sealGen is the highest
 	// committed seal generation; sealedSeq is the marker's maxseq — the
@@ -128,11 +132,6 @@ type DB struct {
 	syncErr    error       // first background fdatasync failure
 	syncFailed atomic.Bool // fast-path flag for syncErr, checked on every insert
 
-	// testCrashBeforeRename, when non-nil, simulates a process crash inside
-	// Compact's rename phase for crash-recovery tests: returning true before
-	// segment i's rename makes Compact stop dead — committed marker and
-	// remaining temps left in place, no abort.
-	testCrashBeforeRename func(i int) bool
 	// testCrashAfterSealCommit simulates a crash right after Seal's commit
 	// marker became durable: runs committed, WAL not yet truncated.
 	testCrashAfterSealCommit bool
@@ -145,8 +144,8 @@ func Open(path string) (*DB, error) { return OpenOptions(path, Options{}) }
 // OpenOptions opens (or creates) a database backed by the WAL segment files
 // "path.0" … "path.S-1", taking an exclusive advisory lock on "path.lock"
 // (ErrLocked if another process holds it) and replaying every intact record
-// found on disk. A single-file WAL written by earlier versions at path itself
-// is migrated to segments before the store becomes writable.
+// found on disk. A file at path itself (a pre-segment single-file WAL) or a
+// retired compaction marker fails the open.
 func OpenOptions(path string, opts Options) (*DB, error) {
 	opts.defaults()
 	db := &DB{path: path, opts: opts, stopSync: make(chan struct{})}
@@ -408,35 +407,6 @@ func (db *DB) Scan(f func(m wire.Message) bool) {
 	mergeSrcs(tierSources(rows, runs, db.noteRunErr), func(m wire.Message, _ uint64) bool { return f(m) })
 }
 
-// scanHoldingAllLocks is the pre-snapshot read path: the same k-way merge,
-// performed while holding every shard RLock for the full duration of the
-// scan — so every concurrent insert stalls until the scan finishes. Kept
-// only as the baseline for BenchmarkScanSnapshot; no production caller
-// remains.
-func (db *DB) scanHoldingAllLocks(f func(m wire.Message) bool) {
-	defer db.rlockAll()()
-	pos := make([]int, len(db.shards))
-	for {
-		best := -1
-		var bestSeq uint64
-		for i, s := range db.shards {
-			if pos[i] >= len(s.rows) {
-				continue
-			}
-			if sq := s.rows[pos[i]].seq; best < 0 || sq < bestSeq {
-				best, bestSeq = i, sq
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if !f(db.shards[best].rows[pos[best]].msg) {
-			return
-		}
-		pos[best]++
-	}
-}
-
 // All returns a copy of every message, sealed runs included, in Scan's
 // order (insertion order per (job, host); host blocks once sealed).
 func (db *DB) All() []wire.Message {
@@ -670,153 +640,6 @@ func (db *DB) Stats() StoreStats {
 		st.WALSynced += s.synced.Load()
 	}
 	return st
-}
-
-// Compact rewrites every WAL segment to contain exactly its shard's current
-// rows — dropping torn/corrupt residue, re-homing rows whose segment no
-// longer matches their shard (after a shard-count change), and folding in
-// leftover segments — then removes the leftovers.
-//
-// Compaction is transactional against crashes: every new segment is first
-// written and fsynced as "<segment>.compact" with the file handle kept (it
-// becomes the shard's WAL handle after the rename, so there is no fallible
-// reopen step), then a commit marker is made durable, and only then are the
-// temps renamed into place. A crash before the marker leaves the old
-// segments untouched (orphan temps are swept on the next open); a crash
-// after it is completed by the next open, which finishes the renames from
-// the fsynced temps — so no interleaving of crash and rename can lose a row
-// that lives in a different segment than the one about to be rewritten.
-func (db *DB) Compact() error {
-	if db.path == "" {
-		return nil
-	}
-	if db.opts.ReadOnly {
-		return ErrReadOnly
-	}
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	// Freeze the whole store: syncMu keeps the group-commit syncers from
-	// fdatasync-ing handles mid-swap, the write locks freeze rows and WALs.
-	// Lock order (syncMu before mu, ascending shards) matches every other
-	// path.
-	for _, s := range db.shards {
-		s.syncMu.Lock()
-		defer s.syncMu.Unlock()
-	}
-	for _, s := range db.shards {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	for _, s := range db.shards {
-		if s.wal == nil {
-			return ErrClosed
-		}
-	}
-
-	// Phase 1: write and fsync every replacement segment as a temp file.
-	tmps := make([]*os.File, len(db.shards))
-	sizes := make([]int64, len(db.shards))
-	discard := func() {
-		for i, f := range tmps {
-			if f != nil {
-				_ = f.Close() // abandoning the temp; the triggering error wins
-				os.Remove(segmentPath(db.path, i) + ".compact")
-			}
-		}
-	}
-	for i, s := range db.shards {
-		f, size, err := writeSegmentSnapshot(segmentPath(db.path, i)+".compact", s.rows)
-		if err != nil {
-			discard()
-			return fmt.Errorf("sirendb: compact: %w", err)
-		}
-		tmps[i], sizes[i] = f, size
-	}
-	//lint:ignore mutexscope compaction freezes the world by design: every shard is write-locked while the temp set is made durable
-	if err := fsyncDir(db.dir); err != nil {
-		discard()
-		return fmt.Errorf("sirendb: compact: %w", err)
-	}
-
-	// Phase 2: commit. Once the marker is durable, the temp set is the
-	// authoritative store state; a crashed process completes the renames on
-	// the next open (completeCompact). If writing the marker errors, it may
-	// nevertheless be (or become) durable — e.g. a Close failure after a
-	// successful Sync — and a durable marker with discarded temps would
-	// roll forward against nothing and delete the leftover segments it
-	// thinks were folded in. So temps may only be discarded once the
-	// marker's removal is itself durable; otherwise fail to the same
-	// poisoned roll-forward state as a post-commit failure.
-	if err := writeCompactMarker(db.path, len(db.shards)); err != nil {
-		if rerr := removeCompactMarker(db.path, db.dir); rerr == nil {
-			discard()
-			return fmt.Errorf("sirendb: compact: %w", err)
-		}
-		return db.compactRollForward(tmps, fmt.Errorf("sirendb: compact: %w", err))
-	}
-
-	// Phase 3: rename temps into place, swapping each shard's WAL handle to
-	// its (still open) temp fd. The marker is durable, so a rename failure
-	// must roll FORWARD, not back: an already-replaced segment holds only
-	// its own shard's rows, and rows cross-homed from it (shard-count
-	// change, misrouted InsertShard) now exist on disk only in the
-	// not-yet-renamed temps — deleting those would orphan them. Keep the
-	// marker and temps for the next open to complete, and poison inserts so
-	// no acknowledged append lands in an old segment the roll-forward will
-	// replace.
-	for i, s := range db.shards {
-		if db.testCrashBeforeRename != nil && db.testCrashBeforeRename(i) {
-			return fmt.Errorf("sirendb: compact: injected crash before rename %d", i)
-		}
-		segPath := segmentPath(db.path, i)
-		if err := os.Rename(segPath+".compact", segPath); err != nil {
-			return db.compactRollForward(tmps[i:], fmt.Errorf("sirendb: compact: %w", err))
-		}
-		old := s.wal
-		s.wal = tmps[i] // the renamed inode; write offset is at its end
-		s.written = sizes[i]
-		s.synced.Store(sizes[i])
-		_ = old.Close() // unlinked by the rename; nothing left to preserve
-	}
-	// Crash ordering: the renames above atomically replace the segments,
-	// but the new directory entries are not durable until the directory
-	// itself is fsynced — without this, a crash right after compaction can
-	// present the old segments again (losing the rewrite) or, on some
-	// filesystems, neither file.
-	//lint:ignore mutexscope compaction freezes the world by design: the rename swap must be durable before any shard unfreezes
-	if err := fsyncDir(db.dir); err != nil {
-		return fmt.Errorf("sirendb: compact: %w", err)
-	}
-
-	// Phase 4: the leftovers' rows now live in the active segments; drop
-	// them and retire the marker.
-	for _, p := range db.staleSegs {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("sirendb: compact: %w", err)
-		}
-	}
-	db.staleSegs = nil
-	if err := removeCompactMarker(db.path, db.dir); err != nil {
-		return fmt.Errorf("sirendb: compact: %w", err)
-	}
-	db.corrupt.Store(0)
-	return nil
-}
-
-// compactRollForward abandons an in-process compaction whose commit marker
-// may be durable: the fsynced temps stay on disk as the authoritative state
-// for the next open's completeCompact, temp handles are released, and the
-// store is poisoned — a row acknowledged into an old segment now would be
-// silently destroyed when the roll-forward replaces that segment.
-func (db *DB) compactRollForward(tmps []*os.File, err error) error {
-	for _, f := range tmps {
-		if f != nil {
-			_ = f.Close() // releasing handles on an already-poisoned path
-		}
-	}
-	db.recordSyncErr(fmt.Errorf("sirendb: compaction interrupted, reopen to complete: %w", err))
-	return err
 }
 
 // Sync is the durability barrier: it fdatasyncs every shard's segment and
