@@ -3,6 +3,7 @@
 // bitflip) over single- and multi-segment stores, a crash-mid-group-commit
 // simulation proving no acknowledged row is lost, process-exclusion locking,
 // ErrClosed semantics, shard-count changes and a crashed Seal across one,
+// the compaction (Seal) crash windows before, during and after its marker,
 // and the refusal of retired on-disk formats.
 package sirendb
 
@@ -595,6 +596,247 @@ func TestSealCrashAfterMarkerAcrossShardChange(t *testing.T) {
 				t.Errorf("roll-forward Stats = %+v", st)
 			}
 		})
+	}
+}
+
+// TestCompactCrashLeavesNoDuplicates: a compaction (Seal) after a shard
+// shrink whose removal of leftover segments 2 and 3 never reached the disk
+// brings their records back at the next open. Every one of them is a second
+// copy of a sealed row, and the marker's maxseq alone must drop them.
+func TestCompactCrashLeavesNoDuplicates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "siren.wal")
+	db, err := OpenOptions(path, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 50
+	ms := make([]wire.Message, rows)
+	for i := range ms {
+		ms[i] = spreadMsg(i, "v")
+		db.Insert(ms[i])
+	}
+	db.Close()
+
+	// Reopen with fewer shards and compact, but "crash" before the leftover
+	// removal by restoring the stale segments afterwards.
+	stale2, err := os.ReadFile(segmentPath(path, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale3, err := os.ReadFile(segmentPath(path, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	db2.Close()
+	if err := os.WriteFile(segmentPath(path, 2), stale2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segmentPath(path, 3), stale3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db3, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	assertAll(t, db3, ms)
+	if n := db3.CorruptRecords(); n != 0 {
+		t.Errorf("CorruptRecords = %d, want 0", n)
+	}
+}
+
+// TestCompactCrashMidRenameRecoversAllRows pins a crash in the middle of a
+// compaction's segment rewrite: after growing from 2 to 8 shards a row's
+// on-disk segment differs from its in-memory shard, and Seal committed its
+// marker but truncated only segment 0 before dying. Segment 1 still holds
+// its sealed copies. The runs must supply every row once, whichever
+// segment it came from.
+func TestCompactCrashMidRenameRecoversAllRows(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "siren.wal")
+	db, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 80
+	ms := make([]wire.Message, rows)
+	for i := range ms {
+		ms[i] = spreadMsg(i, "v")
+		if err := db.Insert(ms[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen with 8 shards: replay re-homes the two segments' rows across
+	// eight in-memory shards, then Seal "crashes" right after its marker.
+	db2, err := OpenOptions(path, Options{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2.testCrashAfterSealCommit = true
+	if err := db2.Seal(); err == nil {
+		t.Fatal("injected crash did not surface")
+	}
+	_ = db2.Close() // poisoned store; close error is expected noise
+	crash := filepath.Join(dir, "after-crash")
+	if err := os.Mkdir(crash, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copyStoreFiles(t, dir, crash)
+	cpath := filepath.Join(crash, "siren.wal")
+	// Phase 3 got as far as segment 0.
+	if err := os.Truncate(segmentPath(cpath, 0), int64(len(segMagic))); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(segmentPath(cpath, 1)); err != nil || fi.Size() <= int64(len(segMagic)) {
+		t.Fatalf("test premise broken: segment 1 holds no residue (err=%v)", err)
+	}
+
+	db3, err := OpenOptions(cpath, Options{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	assertAll(t, db3, ms)
+	if db3.CorruptRecords() != 0 {
+		t.Errorf("corrupt = %d", db3.CorruptRecords())
+	}
+	if st := db3.Stats(); st.SealedGen != 1 || st.SealedRows != rows {
+		t.Errorf("roll-forward Stats = %+v", st)
+	}
+}
+
+// TestCompactCrashBeforeCommitDiscardsTemps: a compaction (Seal) that fails
+// before its commit marker — here shard 1's run cannot be created — removes
+// the run it already wrote for shard 0, commits nothing and leaves the
+// store writable, with the segments still authoritative.
+func TestCompactCrashBeforeCommitDiscardsTemps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "siren.wal")
+	db, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 40
+	ms := make([]wire.Message, rows, rows+1)
+	for i := range ms {
+		ms[i] = spreadMsg(i, "v")
+		db.Insert(ms[i])
+	}
+	for i, s := range db.shards {
+		if len(s.rows) == 0 {
+			t.Fatalf("test premise broken: shard %d is empty", i)
+		}
+	}
+	obstruct := runFilePath(path, 1, 1)
+	if err := os.Mkdir(obstruct, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Seal(); err == nil {
+		t.Fatal("Seal with an obstructed run file must error")
+	}
+	if _, err := os.Stat(runFilePath(path, 1, 0)); !os.IsNotExist(err) {
+		t.Errorf("shard 0's uncommitted run not discarded (err=%v)", err)
+	}
+	if _, err := os.Stat(sealMarkerPath(path)); !os.IsNotExist(err) {
+		t.Errorf("failed seal left a commit marker (err=%v)", err)
+	}
+	late := spreadMsg(rows, "late")
+	if err := db.Insert(late); err != nil {
+		t.Errorf("insert after a pre-commit seal failure: %v", err)
+	}
+	ms = append(ms, late)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(obstruct); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	assertAll(t, db2, ms)
+	if st := db2.Stats(); st.SealedGen != 0 || st.SealedRows != 0 {
+		t.Errorf("uncommitted seal attached: %+v", st)
+	}
+}
+
+// TestCompactRenameFailureRollsForward: once the commit marker is durable,
+// a failure later in the compaction — here the removal of leftover segment
+// 3, obstructed by a non-empty directory — must poison inserts, since an
+// append acknowledged now could be lost by the roll-forward, and leave the
+// marker for the next open, which serves every row from the runs even
+// though segment 3's file is gone.
+func TestCompactRenameFailureRollsForward(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "siren.wal")
+	db, err := OpenOptions(path, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 60
+	ms := make([]wire.Message, rows)
+	for i := range ms {
+		ms[i] = spreadMsg(i, "v")
+		db.Insert(ms[i])
+	}
+	db.Close()
+
+	// Reopen with 2 shards (segments 2 and 3 become leftovers), then make
+	// segment 3's removal fail.
+	db2, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg3 := segmentPath(path, 3)
+	if err := os.Remove(seg3); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(seg3, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(seg3, "obstruction"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Seal(); err == nil {
+		t.Fatal("Seal with an obstructed leftover removal must error")
+	}
+	if err := db2.Insert(spreadMsg(999, "late")); err == nil {
+		t.Error("inserts after an interrupted compaction must be poisoned")
+	}
+	if gen, _, err := readSealMarker(path); err != nil || gen != 1 {
+		t.Fatalf("commit marker must survive for roll-forward: gen=%d err=%v", gen, err)
+	}
+	_ = db2.Close() // poisoned store; close error is expected noise
+
+	// "Crash" and reopen without the obstruction (copyStoreFiles skips
+	// directories): the runs are authoritative, so no row is lost.
+	crash := filepath.Join(dir, "after-crash")
+	if err := os.Mkdir(crash, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copyStoreFiles(t, dir, crash)
+	db3, err := OpenOptions(filepath.Join(crash, "siren.wal"), Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	assertAll(t, db3, ms)
+	if st := db3.Stats(); st.SealedGen != 1 || st.SealedRows != rows {
+		t.Errorf("roll-forward Stats = %+v", st)
 	}
 }
 
